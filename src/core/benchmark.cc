@@ -3,8 +3,7 @@
 #include "common/check.h"
 #include "dsp/quant.h"
 #include "h264/h264.h"
-#include "mpeg2/mpeg2.h"
-#include "mpeg4/mpeg4.h"
+#include "mpeg/mpeg.h"
 
 namespace hdvb {
 

@@ -131,7 +131,7 @@ MotionEstimator::diamond_refine(const MeBlock &blk, MotionVector pred_sub,
 
 MeResult
 MotionEstimator::epzs(const MeBlock &blk, MotionVector pred_sub,
-                      const std::vector<MotionVector> &cand_full) const
+                      std::span<const MotionVector> cand_full) const
 {
     int min_x, max_x, min_y, max_y;
     mv_bounds(blk, &min_x, &max_x, &min_y, &max_y);
@@ -179,7 +179,7 @@ MotionEstimator::epzs(const MeBlock &blk, MotionVector pred_sub,
 
 MeResult
 MotionEstimator::hex(const MeBlock &blk, MotionVector pred_sub,
-                     const std::vector<MotionVector> &cand_full) const
+                     std::span<const MotionVector> cand_full) const
 {
     int min_x, max_x, min_y, max_y;
     mv_bounds(blk, &min_x, &max_x, &min_y, &max_y);

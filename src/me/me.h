@@ -17,7 +17,7 @@
 #ifndef HDVB_ME_ME_H
 #define HDVB_ME_ME_H
 
-#include <vector>
+#include <span>
 
 #include "bitstream/exp_golomb.h"
 #include "common/types.h"
@@ -98,14 +98,14 @@ class MotionEstimator
      * terminate on a good match, then iterate a small diamond.
      */
     MeResult epzs(const MeBlock &blk, MotionVector pred_sub,
-                  const std::vector<MotionVector> &cand_full) const;
+                  std::span<const MotionVector> cand_full) const;
 
     /**
      * Hexagon search: best candidate start, large-hexagon iteration,
      * small-diamond ending.
      */
     MeResult hex(const MeBlock &blk, MotionVector pred_sub,
-                 const std::vector<MotionVector> &cand_full) const;
+                 std::span<const MotionVector> cand_full) const;
 
     /** Legal full-sample MV window for @p blk (border safety). */
     void mv_bounds(const MeBlock &blk, int *min_x, int *max_x,
