@@ -20,6 +20,7 @@
 #include <cstring>
 #include <deque>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "bitstream/bit_writer.h"
@@ -168,7 +169,7 @@ class H264Encoder final : public EncoderBase
     MotionVector median_pred(int mbx, int mby) const;
     MeResult estimate(const Frame &src, const Plane &ref, int x0, int y0,
                       int w, int h, MotionVector pred_sub,
-                      const std::vector<MotionVector> &cands) const;
+                      std::span<const MotionVector> cands) const;
     void predict_inter_luma(const Plane &ref, int mbx, int mby,
                             const Partition *parts, int count,
                             Pixel luma[16 * 16]) const;
@@ -235,7 +236,7 @@ H264Encoder::median_pred(int mbx, int mby) const
 MeResult
 H264Encoder::estimate(const Frame &src, const Plane &ref, int x0, int y0,
                       int w, int h, MotionVector pred_sub,
-                      const std::vector<MotionVector> &cands) const
+                      std::span<const MotionVector> cands) const
 {
     MeBlock blk;
     blk.cur = &src.luma();
@@ -651,17 +652,18 @@ H264Encoder::analyze_mb(RowState &rs, const Frame &src, PictureType type,
 
     // ---- inter candidates ----
     const MotionVector pred_mv = median_pred(mbx, mby);
-    std::vector<MotionVector> cands;
-    cands.reserve(4);
+    // Left, top and collocated, then one slot for a hint or, in the
+    // partition trials, the 16x16 result.
+    MotionVector cands[4];
+    size_t ncands = 0;
     const int idx = mby * mb_w_ + mbx;
     if (mbx > 0)
-        cands.push_back({static_cast<s16>(mv_grid_[idx - 1].x >> 2),
-                         static_cast<s16>(mv_grid_[idx - 1].y >> 2)});
+        cands[ncands++] = {static_cast<s16>(mv_grid_[idx - 1].x >> 2),
+                           static_cast<s16>(mv_grid_[idx - 1].y >> 2)};
     if (mby > 0)
-        cands.push_back(
-            {static_cast<s16>(mv_grid_[idx - mb_w_].x >> 2),
-             static_cast<s16>(mv_grid_[idx - mb_w_].y >> 2)});
-    cands.push_back(anchor_mvs_[idx]);
+        cands[ncands++] = {static_cast<s16>(mv_grid_[idx - mb_w_].x >> 2),
+                           static_cast<s16>(mv_grid_[idx - mb_w_].y >> 2)};
+    cands[ncands++] = anchor_mvs_[idx];
 
     // Rough intra cost for the mode decision (a hinted MB already
     // settled on inter at decode time, so skip the SATD scan).
@@ -689,7 +691,7 @@ H264Encoder::analyze_mb(RowState &rs, const Frame &src, PictureType type,
         int r_lo = 0;
         int r_hi = nrefs;
         if (hint != nullptr) {
-            cands.push_back(hint_full_pel(hint->fwd));
+            cands[ncands++] = hint_full_pel(hint->fwd);
             r_lo = clamp<int>(hint->ref, 0, nrefs - 1);
             r_hi = r_lo + 1;
         }
@@ -697,7 +699,7 @@ H264Encoder::analyze_mb(RowState &rs, const Frame &src, PictureType type,
         int best_ref = r_lo;
         for (int r = r_lo; r < r_hi; ++r) {
             MeResult res = estimate(src, ref_frame(r).luma(), lx, ly,
-                                    16, 16, pred_mv, cands);
+                                    16, 16, pred_mv, {cands, ncands});
             res.cost += (me_.params().lambda16 * 2 * r) >> 4;
             if (res.cost < best16.cost) {
                 best16 = res;
@@ -719,9 +721,8 @@ H264Encoder::analyze_mb(RowState &rs, const Frame &src, PictureType type,
             (me_.params().approx < 2 ||
              best16.sad >= (256 << me_.params().approx) * 4);
         if (try_parts) {
-            std::vector<MotionVector> sub_cands = cands;
-            sub_cands.push_back({static_cast<s16>(best16.mv.x >> 2),
-                                 static_cast<s16>(best16.mv.y >> 2)});
+            cands[ncands++] = {static_cast<s16>(best16.mv.x >> 2),
+                               static_cast<s16>(best16.mv.y >> 2)};
             for (int mode = kPart16x8; mode <= kPart8x8; ++mode) {
                 const int count = kPartCount[mode];
                 Partition trial[4];
@@ -730,7 +731,8 @@ H264Encoder::analyze_mb(RowState &rs, const Frame &src, PictureType type,
                     trial[p] = kPartGeom[mode][p];
                     const MeResult r = estimate(
                         src, ref_luma, lx + trial[p].x, ly + trial[p].y,
-                        trial[p].w, trial[p].h, best16.mv, sub_cands);
+                        trial[p].w, trial[p].h, best16.mv,
+                        {cands, ncands});
                     trial[p].mv = r.mv;
                     cost += r.cost;
                 }
@@ -817,21 +819,21 @@ H264Encoder::analyze_mb(RowState &rs, const Frame &src, PictureType type,
     MeResult fwd;
     MeResult bwd;
     Pixel fbuf[16 * 16], bbuf[16 * 16], bibuf[16 * 16];
+    // Each direction's hint, if any, takes the free slot.
+    const size_t nb = ncands + (hint != nullptr);
     if (want_fwd) {
-        std::vector<MotionVector> fcands = cands;
         if (hint != nullptr)
-            fcands.push_back(hint_full_pel(hint->fwd));
+            cands[ncands] = hint_full_pel(hint->fwd);
         fwd = estimate(src, fwd_ref.luma(), lx, ly, 16, 16, rs.left_fwd,
-                       fcands);
+                       {cands, nb});
         mc_h264_luma(fwd_ref.luma(), lx, ly, fwd.mv, fbuf, 16, 16, 16,
                      dsp_);
     }
     if (want_bwd) {
-        std::vector<MotionVector> bcands = cands;
         if (hint != nullptr)
-            bcands.push_back(hint_full_pel(hint->bwd));
+            cands[ncands] = hint_full_pel(hint->bwd);
         bwd = estimate(src, bwd_ref.luma(), lx, ly, 16, 16, rs.left_bwd,
-                       bcands);
+                       {cands, nb});
         mc_h264_luma(bwd_ref.luma(), lx, ly, bwd.mv, bbuf, 16, 16, 16,
                      dsp_);
     }
