@@ -45,6 +45,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/digest.h"
 #include "common/json_writer.h"
 #include "common/stats.h"
 #include "common/thread_pool.h"
@@ -109,39 +110,23 @@ wait_until(const std::function<bool()> &predicate,
 // ---------------------------------------------------------------------
 
 struct Digest {
-    u64 hash = 14695981039346656037ull;
-
-    void
-    bytes(const u8 *data, size_t size)
-    {
-        for (size_t i = 0; i < size; ++i) {
-            hash ^= data[i];
-            hash *= 1099511628211ull;
-        }
-    }
-
-    void
-    number(s64 v)
-    {
-        bytes(reinterpret_cast<const u8 *>(&v), sizeof(v));
-    }
+    Fnv1a hash;
 
     void
     packet(const Packet &p)
     {
-        number(static_cast<s64>(p.data.size()));
-        if (!p.data.empty())
-            bytes(p.data.data(), p.data.size());
+        hash.number(static_cast<s64>(p.data.size()));
+        hash.bytes(p.data.data(), p.data.size());
     }
 
     void
     frame(const Frame &f)
     {
-        number(f.poc());
+        hash.number(f.poc());
         for (int plane = 0; plane < 3; ++plane) {
             const Plane &pl = f.plane(plane);
             for (int y = 0; y < pl.height(); ++y)
-                bytes(pl.row(y), static_cast<size_t>(pl.width()));
+                hash.bytes(pl.row(y), static_cast<size_t>(pl.width()));
         }
     }
 };
@@ -161,7 +146,7 @@ digest_session_output(CodecSession *session)
         for (const Frame &f : frames)
             digest.frame(f);
     }
-    return digest.hash;
+    return digest.hash.value();
 }
 
 // ---------------------------------------------------------------------
