@@ -15,7 +15,6 @@
  * threads == 1, so the bitstream is byte-identical for any thread
  * count.
  */
-#include <cstring>
 #include <memory>
 #include <span>
 #include <vector>
@@ -145,9 +144,10 @@ class MpegEncoder final : public EncoderBase
                       int size, MotionVector pred_sub,
                       std::span<const MotionVector> cands) const;
     int intra_cost(const Frame &src, int mbx, int mby) const;
-    size_t gather_candidates(const RowState &rs, PictureType type, int mbx,
-                          int mby, bool backward,
-                          MotionVector out[kMaxCands]) const;
+    /** EPZS candidates in full samples; returns how many. */
+    size_t gather_candidates(const RowState &rs, PictureType type,
+                             int mbx, int mby, bool backward,
+                             MotionVector out[kMaxCands]) const;
 
     const Dsp &dsp_;
     MpegQuantizer intra_quant_;
@@ -294,7 +294,8 @@ MpegEncoder<T>::gather_candidates(const RowState &rs, PictureType type,
     const int idx = mby * mb_w_ + mbx;
     if (type == PictureType::kP || T::kBSpatialCandidates) {
         // In P pictures the row chain's left vector is the left MB's
-        // mv_grid_ entry; in B pictures it follows the search direction.
+        // mv_grid_ entry (zero at a row start, a vector EPZS tests
+        // anyway); in B pictures it follows the search direction.
         out[n++] = full_pel<T>(backward ? rs.left_bwd : rs.left_fwd);
         if (mby > 0) {
             out[n++] = full_pel<T>(mv_grid_[idx - mb_w_]);
